@@ -9,10 +9,13 @@ use gp_dsp::cfar::{cfar_2d, CfarConfig};
 use gp_dsp::fft::fft_in_place;
 use gp_dsp::Complex;
 use gp_models::features::{encode_sample, FeatureConfig};
+use gp_models::{GesIDNet, GesIDNetConfig, PointModel};
+use gp_nn::{Adam, Parameterized};
 use gp_pipeline::{NoiseCanceler, Preprocessor, PreprocessorConfig, Segmenter};
 use gp_pointcloud::dbscan::{dbscan, DbscanConfig};
 use gp_pointcloud::metrics::{chamfer, hausdorff};
-use gp_radar::{Backend, RadarConfig, RadarSimulator};
+use gp_radar::signal::synthesize_frame;
+use gp_radar::{Backend, Environment, RadarConfig, RadarSimulator, Scene};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,6 +59,19 @@ fn bench_radar(c: &mut Criterion) {
     group.bench_function("signal_chain_frame_small", |b| {
         let mut sim = RadarSimulator::new(RadarConfig::test_small(), Backend::SignalChain, 1);
         b.iter(|| sim.simulate_frame(&scatterers, 0.0))
+    });
+    // The default configuration on an office snapshot (performer plus
+    // swaying reflectors): what a signal-chain capture runs per frame.
+    let office = Scene::for_performance(perf, Environment::Office, 5);
+    let office_scatterers = office.scatterers_at((gs + ge) / 2.0);
+    group.bench_function("synthesize_frame_default", |b| {
+        let config = RadarConfig::default();
+        let mut rng = StdRng::seed_from_u64(1);
+        b.iter(|| synthesize_frame(&office_scatterers, &config, &mut rng))
+    });
+    group.bench_function("signal_chain_frame_default", |b| {
+        let mut sim = RadarSimulator::new(RadarConfig::default(), Backend::SignalChain, 1);
+        b.iter(|| sim.simulate_frame(&office_scatterers, 0.0))
     });
     group.finish();
 }
@@ -124,10 +140,26 @@ fn bench_models(c: &mut Criterion) {
             |b| b.iter(|| model.predict(&sample)),
         );
     }
+    // One training step on a fresh GesIDNet: forward, backward and the
+    // Adam update, as `train_classifier` runs per mini-batch of one.
+    let input = encode_sample(
+        &sample,
+        &FeatureConfig::default(),
+        &mut StdRng::seed_from_u64(1),
+    );
+    let fresh = GesIDNet::new(
+        GesIDNetConfig::for_classes(2),
+        &mut StdRng::seed_from_u64(0),
+    );
     group.bench_function("gesidnet_train_step", |b| {
         b.iter_batched(
-            || train_classifier(&pairs, 2, &quick),
-            |_m| (),
+            || (fresh.clone(), Adam::new(quick.learning_rate)),
+            |(mut model, mut adam)| {
+                let loss = model.train_step(&input, 0);
+                adam.begin_step();
+                model.for_each_param(&mut |p, g| adam.update(p, g));
+                (model, loss)
+            },
             BatchSize::SmallInput,
         )
     });

@@ -14,8 +14,9 @@ use rand::SeedableRng;
 pub struct BuildOptions {
     /// Master seed; everything downstream derives from it.
     pub seed: u64,
-    /// Radar backend (geometric by default; the signal chain is ~100×
-    /// slower and statistically matched).
+    /// Radar backend (geometric by default; the signal chain is
+    /// statistically matched and thousands of times slower at the
+    /// default configuration).
     pub backend: Backend,
     /// Radar configuration.
     pub radar: RadarConfig,

@@ -1,8 +1,10 @@
 //! Iterative radix-2 decimation-in-time fast Fourier transform.
 //!
 //! The FMCW signal chain uses three FFT passes (range, Doppler, angle), all
-//! over power-of-two lengths, so a classic in-place radix-2 butterfly with a
-//! precomputed twiddle table covers every need of the simulator.
+//! over power-of-two lengths, so a classic in-place radix-2 butterfly covers
+//! every need of the simulator. There is no twiddle table: each stage
+//! computes one root of unity with `cis` and reaches the other twiddles of
+//! every butterfly block by repeated complex multiplication.
 
 use crate::complex::Complex;
 use std::f64::consts::PI;

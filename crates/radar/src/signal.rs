@@ -115,9 +115,166 @@ pub fn radar_return(s: &Scatterer, config: &RadarConfig) -> Option<RadarReturn> 
 
 /// Synthesises the IF data cube for one frame from a scatterer snapshot.
 ///
-/// Phase accumulators avoid per-sample trigonometry: the fast-time tone
-/// and slow-time Doppler ramp are complex rotations applied incrementally.
+/// The cube is filled in blocks of eight consecutive rows (a row is one
+/// antenna × chirp pair of `samples_per_chirp` samples), in storage order.
+/// A block, 8 × 256 samples at the default configuration, stays in cache
+/// while every in-range scatterer adds its tone to it; then the block's
+/// thermal noise is added. Phase accumulators avoid per-sample
+/// trigonometry: each row's start phasor follows the slow-time Doppler ramp
+/// along the antenna's chirps, and the fast-time tone is a complex rotation
+/// applied per sample. Within a block, one scatterer's eight row rotations
+/// advance in lockstep, so each hides the others' multiply latency.
+///
+/// The cube is bit-identical to [`naive_synthesize_frame`]'s, and `rng`
+/// ends in the same state, because
+///
+/// * each row runs the same sequence of floating-point operations;
+/// * each sample receives its scatterer contributions in scatterer order,
+///   followed by its noise sample;
+/// * blocks and their rows are visited in storage order, so the noise is
+///   drawn from `rng` in the same order.
+///
+/// `tests/signal_parity.rs` holds it to that contract.
 pub fn synthesize_frame<R: Rng>(
+    scatterers: &[Scatterer],
+    config: &RadarConfig,
+    rng: &mut R,
+) -> DataCube {
+    let na = config.virtual_antennas();
+    let nc = config.chirps_per_frame;
+    let ns = config.samples_per_chirp;
+    let mut cube = DataCube::zeroed(na, nc, ns);
+    if cube.data.is_empty() {
+        return cube;
+    }
+    let mut tones: Vec<Tone> = scatterers
+        .iter()
+        .filter_map(|s| radar_return(s, config))
+        .map(|ret| Tone::new(ret, config))
+        .collect();
+
+    for (block_index, block) in cube.data.chunks_mut(LANES * ns).enumerate() {
+        let first_row = block_index * LANES;
+        let lanes = block.len() / ns;
+        for tone in &mut tones {
+            let mut starts = [Complex::ZERO; LANES];
+            for (l, start) in starts[..lanes].iter_mut().enumerate() {
+                *start = tone.row_start(first_row + l, config);
+            }
+            if lanes == LANES {
+                add_tones_lockstep(block, &starts, tone.rot_fast);
+            } else {
+                for (row, &start) in block.chunks_exact_mut(ns).zip(&starts) {
+                    add_tone(row, start, tone.rot_fast);
+                }
+            }
+        }
+        if config.noise_sigma > 0.0 {
+            add_noise(block, config.noise_sigma, rng);
+        }
+    }
+    cube
+}
+
+/// Rows whose fast-time recurrences [`synthesize_frame`] runs in lockstep.
+/// Eight complex phasors and the rotation fit the sixteen SSE2 registers;
+/// 12 or 16 lanes spill and run slower.
+const LANES: usize = 8;
+
+/// One in-range scatterer's tone while the cube is filled row by row.
+struct Tone {
+    ret: RadarReturn,
+    /// Range phase 4π·r/λ.
+    base_phase: f64,
+    /// Fast-time rotation per sample.
+    rot_fast: Complex,
+    /// Slow-time (Doppler) rotation per chirp.
+    rot_slow: Complex,
+    /// Start phasor of the next chirp on the current antenna.
+    chirp_start: Complex,
+}
+
+impl Tone {
+    fn new(ret: RadarReturn, config: &RadarConfig) -> Self {
+        let lambda = config.wavelength();
+        // Fast-time sample period: the chirp sweeps the full bandwidth over
+        // `ns` samples, so the beat tone for range r advances by
+        // 2π · (2·B·r/c) / ns per sample.
+        let dphi_fast = std::f64::consts::TAU * 2.0 * config.bandwidth_hz * ret.range
+            / (crate::config::SPEED_OF_LIGHT * config.samples_per_chirp as f64);
+        // Doppler phase advance per chirp: 4π·v·T_c/λ.
+        let dphi_slow =
+            2.0 * std::f64::consts::TAU * ret.radial_velocity * config.chirp_interval_s / lambda;
+        Tone {
+            ret,
+            base_phase: 2.0 * std::f64::consts::TAU * ret.range / lambda,
+            rot_fast: Complex::cis(dphi_fast),
+            rot_slow: Complex::cis(dphi_slow),
+            chirp_start: Complex::ZERO,
+        }
+    }
+
+    /// The start phasor of `row`; rows must be asked for in storage order.
+    /// Each antenna's first chirp starts from its array phase, and each
+    /// later chirp one Doppler rotation on.
+    fn row_start(&mut self, row: usize, config: &RadarConfig) -> Complex {
+        let nc = config.chirps_per_frame;
+        if row % nc == 0 {
+            let ant = row / nc;
+            let (el, az) = (ant / config.azimuth_antennas, ant % config.azimuth_antennas);
+            let ant_phase =
+                std::f64::consts::PI * (az as f64 * self.ret.u + el as f64 * self.ret.w);
+            self.chirp_start = Complex::from_polar(self.ret.amplitude, self.base_phase + ant_phase);
+        }
+        let start = self.chirp_start;
+        self.chirp_start *= self.rot_slow;
+        start
+    }
+}
+
+/// Adds one tone to each of the [`LANES`] rows of `block`, row `l`
+/// starting at `starts[l]`, advancing all rows one sample at a time.
+#[inline]
+fn add_tones_lockstep(block: &mut [Complex], starts: &[Complex; LANES], rot: Complex) {
+    let ns = block.len() / LANES;
+    let mut ph = *starts;
+    for s in 0..ns {
+        for l in 0..LANES {
+            block[l * ns + s] += ph[l];
+            ph[l] *= rot;
+        }
+    }
+}
+
+/// Adds one tone starting at `start` to a single row.
+fn add_tone(row: &mut [Complex], start: Complex, rot: Complex) {
+    let mut ph = start;
+    for sample in row.iter_mut() {
+        *sample += ph;
+        ph *= rot;
+    }
+}
+
+/// Adds complex Gaussian noise of deviation `sigma` per component to
+/// every sample, drawing from `rng` in order.
+fn add_noise<R: Rng>(samples: &mut [Complex], sigma: f64, rng: &mut R) {
+    for z in samples.iter_mut() {
+        let (g1, g2) = gaussian_pair(rng);
+        *z += Complex::new(g1 * sigma, g2 * sigma);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Naive oracle — the original scatterer-at-a-time loop, retained as the
+// bit-exactness oracle for `synthesize_frame` (`tests/signal_parity.rs`)
+// and as its baseline. It is not called on any production path.
+// ---------------------------------------------------------------------
+
+/// The original synthesis loop, kept verbatim: for each scatterer, one
+/// serial fast-time recurrence per row over the whole cube, then the
+/// thermal noise over the whole cube.
+#[doc(hidden)]
+pub fn naive_synthesize_frame<R: Rng>(
     scatterers: &[Scatterer],
     config: &RadarConfig,
     rng: &mut R,
