@@ -8,16 +8,34 @@ use gp_bench::{capture_fixture, sample_fixture};
 use gp_dsp::cfar::{cfar_2d, CfarConfig};
 use gp_dsp::fft::fft_in_place;
 use gp_dsp::Complex;
+use gp_kinematics::{Performance, Scatterer};
 use gp_models::features::{encode_sample, FeatureConfig};
 use gp_models::{GesIDNet, GesIDNetConfig, PointModel};
 use gp_nn::{Adam, Parameterized};
 use gp_pipeline::{NoiseCanceler, Preprocessor, PreprocessorConfig, Segmenter};
 use gp_pointcloud::dbscan::{dbscan, DbscanConfig};
 use gp_pointcloud::metrics::{chamfer, hausdorff};
+use gp_radar::processing::{power_map, process_cube, range_doppler_maps};
 use gp_radar::signal::synthesize_frame;
 use gp_radar::{Backend, Environment, RadarConfig, RadarSimulator, Scene};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The canonical performance the capture/sample fixtures use, and an
+/// office-scene snapshot of it mid-gesture: the performer plus the swaying
+/// reflectors, as a signal-chain capture sees one frame.
+fn office_snapshot() -> (Performance, Vec<Scatterer>) {
+    let perf = gp_testkit::performance(
+        0,
+        gp_testkit::CANONICAL_GESTURE,
+        gp_testkit::CANONICAL_DISTANCE,
+        5,
+    );
+    let (gs, ge) = perf.gesture_interval();
+    let office = Scene::for_performance(perf.clone(), Environment::Office, 5);
+    let scatterers = office.scatterers_at((gs + ge) / 2.0);
+    (perf, scatterers)
+}
 
 fn bench_dsp(c: &mut Criterion) {
     let mut group = c.benchmark_group("dsp");
@@ -29,12 +47,19 @@ fn bench_dsp(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    group.bench_function("cfar_2d_16x256", |b| {
-        let mut power = vec![1.0f64; 16 * 256];
-        power[5 * 256 + 100] = 500.0;
-        power[9 * 256 + 30] = 300.0;
-        let cfg = CfarConfig::default();
-        b.iter(|| cfar_2d(&power, 16, 256, &cfg))
+    // The radar chain's CFAR window (guard 1, training 4) on the power
+    // map of one default-config office frame.
+    group.bench_function("cfar_2d_office_16x256", |b| {
+        let config = RadarConfig::default();
+        let cube = synthesize_frame(&office_snapshot().1, &config, &mut StdRng::seed_from_u64(1));
+        let power = power_map(&range_doppler_maps(&cube, &config));
+        let cfg = CfarConfig {
+            guard_cells: 1,
+            training_cells: 4,
+            threshold_factor: config.cfar_threshold,
+        };
+        let (rows, cols) = (config.chirps_per_frame, config.samples_per_chirp);
+        b.iter(|| cfar_2d(&power, rows, cols, &cfg))
     });
     group.finish();
 }
@@ -42,13 +67,7 @@ fn bench_dsp(c: &mut Criterion) {
 fn bench_radar(c: &mut Criterion) {
     let mut group = c.benchmark_group("radar");
     group.sample_size(20);
-    // The same canonical performance the capture/sample fixtures use.
-    let perf = gp_testkit::performance(
-        0,
-        gp_testkit::CANONICAL_GESTURE,
-        gp_testkit::CANONICAL_DISTANCE,
-        5,
-    );
+    let (perf, office_scatterers) = office_snapshot();
     let (gs, ge) = perf.gesture_interval();
     let scatterers = perf.scatterers_at((gs + ge) / 2.0);
 
@@ -60,14 +79,17 @@ fn bench_radar(c: &mut Criterion) {
         let mut sim = RadarSimulator::new(RadarConfig::test_small(), Backend::SignalChain, 1);
         b.iter(|| sim.simulate_frame(&scatterers, 0.0))
     });
-    // The default configuration on an office snapshot (performer plus
-    // swaying reflectors): what a signal-chain capture runs per frame.
-    let office = Scene::for_performance(perf, Environment::Office, 5);
-    let office_scatterers = office.scatterers_at((gs + ge) / 2.0);
+    // The default configuration on the office snapshot: what a
+    // signal-chain capture runs per frame, whole and in its two halves.
     group.bench_function("synthesize_frame_default", |b| {
         let config = RadarConfig::default();
         let mut rng = StdRng::seed_from_u64(1);
         b.iter(|| synthesize_frame(&office_scatterers, &config, &mut rng))
+    });
+    group.bench_function("process_cube_default", |b| {
+        let config = RadarConfig::default();
+        let cube = synthesize_frame(&office_scatterers, &config, &mut StdRng::seed_from_u64(1));
+        b.iter(|| process_cube(&cube, &config))
     });
     group.bench_function("signal_chain_frame_default", |b| {
         let mut sim = RadarSimulator::new(RadarConfig::default(), Backend::SignalChain, 1);

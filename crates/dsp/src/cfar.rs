@@ -96,13 +96,151 @@ pub fn cfar_1d(power: &[f64], config: &CfarConfig) -> Vec<CfarDetection> {
     out
 }
 
+/// Cells of one row whose training sums the lockstep pass runs together.
+const LANES: usize = 8;
+
 /// Runs 2-D CA-CFAR over a power map laid out row-major as
 /// `rows × cols` (e.g. Doppler × range), using a square training annulus.
+///
+/// Windows that cross the map's edge are clamped to it, and the noise
+/// estimate is the mean of the training cells that remain.
+///
+/// Every cell's training sum is one `f64` accumulator that starts at `0.0`
+/// and adds the window's cells rows ascending, then columns ascending,
+/// skipping the guard square and anything off the map: the order of
+/// [`naive_cfar_2d`], the retained cell-at-a-time loop, so detections,
+/// powers and noise estimates are bit-identical to it. Runs of eight
+/// neighbouring cells whose windows do not cross the left or right edge
+/// are summed in lockstep, as eight independent accumulators over
+/// contiguous row slices; the cells near those edges take a scalar path.
 ///
 /// # Panics
 ///
 /// Panics if `power.len() != rows * cols`.
 pub fn cfar_2d(power: &[f64], rows: usize, cols: usize, config: &CfarConfig) -> Vec<CfarDetection> {
+    assert_eq!(power.len(), rows * cols, "power map shape mismatch");
+    let mut out = Vec::new();
+    if rows == 0 || cols == 0 {
+        return out;
+    }
+    let g = config.guard_cells;
+    let win = g.saturating_add(config.training_cells);
+    let mut emit = |r: usize, c: usize, sum: f64, count: usize| {
+        if count == 0 {
+            return;
+        }
+        let noise = sum / count as f64;
+        let p = power[r * cols + c];
+        if p > noise * config.threshold_factor {
+            out.push(CfarDetection {
+                index: (r, c),
+                power: p,
+                noise,
+            });
+        }
+    };
+    for r in 0..rows {
+        let window_rows = span(r, win, rows);
+        let guard_rows = span(r, g, rows);
+        // Cells whose window spans whole rows: every window row but the
+        // guard rows contributes 2·win + 1 columns, the guard rows 2·win − 2·g.
+        let lane_count = (window_rows.1 - window_rows.0 + 1) * (2 * win + 1)
+            - (guard_rows.1 - guard_rows.0 + 1) * (2 * g + 1);
+        let mut c = 0;
+        while c < cols {
+            if c >= win && c.saturating_add(LANES + win) <= cols {
+                let sums = lane_sums(power, cols, (window_rows, guard_rows), c, g, win);
+                for (lane, &sum) in sums.iter().enumerate() {
+                    emit(r, c + lane, sum, lane_count);
+                }
+                c += LANES;
+            } else {
+                let (sum, count) = clamped_sum(power, cols, (window_rows, guard_rows), c, g, win);
+                emit(r, c, sum, count);
+                c += 1;
+            }
+        }
+    }
+    out
+}
+
+/// The inclusive range `i ± reach` clamped to `0..n`.
+fn span(i: usize, reach: usize, n: usize) -> (usize, usize) {
+    (i.saturating_sub(reach), i.saturating_add(reach).min(n - 1))
+}
+
+/// Training sums of the `LANES` cells of one row from column `c`
+/// rightwards, whose windows cover columns `c - win ..= c + LANES - 1 + win`
+/// of the window rows.
+fn lane_sums(
+    power: &[f64],
+    cols: usize,
+    (window_rows, guard_rows): ((usize, usize), (usize, usize)),
+    c: usize,
+    g: usize,
+    win: usize,
+) -> [f64; LANES] {
+    let mut sums = [0.0f64; LANES];
+    for rr in window_rows.0..=window_rows.1 {
+        // Column `c + lane + k - win` of this row is `row[k + lane]`.
+        let row = &power[rr * cols + c - win..rr * cols + c + win + LANES];
+        let spans = if (guard_rows.0..=guard_rows.1).contains(&rr) {
+            [0..win - g, win + g + 1..2 * win + 1]
+        } else {
+            [0..2 * win + 1, 0..0]
+        };
+        for k in spans.into_iter().flatten() {
+            for (sum, &p) in sums.iter_mut().zip(&row[k..k + LANES]) {
+                *sum += p;
+            }
+        }
+    }
+    sums
+}
+
+/// Training sum and cell count of the cell in column `c` of the window
+/// rows' centre row, with the window clamped to the map.
+fn clamped_sum(
+    power: &[f64],
+    cols: usize,
+    (window_rows, guard_rows): ((usize, usize), (usize, usize)),
+    c: usize,
+    g: usize,
+    win: usize,
+) -> (f64, usize) {
+    let (c0, c1) = span(c, win, cols);
+    let (gc0, gc1) = span(c, g, cols);
+    let mut sum = 0.0;
+    for rr in window_rows.0..=window_rows.1 {
+        let row = &power[rr * cols..(rr + 1) * cols];
+        let cells = if (guard_rows.0..=guard_rows.1).contains(&rr) {
+            [&row[c0..gc0], &row[gc1 + 1..=c1]]
+        } else {
+            [&row[c0..=c1], &[][..]]
+        };
+        for &p in cells.into_iter().flatten() {
+            sum += p;
+        }
+    }
+    let count = (window_rows.1 - window_rows.0 + 1) * (c1 - c0 + 1)
+        - (guard_rows.1 - guard_rows.0 + 1) * (gc1 - gc0 + 1);
+    (sum, count)
+}
+
+// ---------------------------------------------------------------------
+// Naive oracle — the original cell-at-a-time loop, retained as the
+// bit-exactness oracle for `cfar_2d` (`tests/kernel_parity.rs`). It is
+// not called on any production path.
+// ---------------------------------------------------------------------
+
+/// The original 2-D CA-CFAR loop, kept verbatim.
+#[doc(hidden)]
+pub fn naive_cfar_2d(
+    power: &[f64],
+    rows: usize,
+    cols: usize,
+    config: &CfarConfig,
+) -> Vec<CfarDetection> {
     assert_eq!(power.len(), rows * cols, "power map shape mismatch");
     let mut out = Vec::new();
     if rows == 0 || cols == 0 {

@@ -2,11 +2,22 @@
 //!
 //! The FMCW signal chain uses three FFT passes (range, Doppler, angle), all
 //! over power-of-two lengths, so a classic in-place radix-2 butterfly covers
-//! every need of the simulator. There is no twiddle table: each stage
-//! computes one root of unity with `cis` and reaches the other twiddles of
-//! every butterfly block by repeated complex multiplication.
+//! every need of the simulator.
+//!
+//! An [`FftPlan`] holds the twiddle factors of one length, built once with
+//! the recurrence the butterfly loop used to run inline: per stage of
+//! length `len`, `w = 1`, then `w *= cis(±2π/len)` once per butterfly. A
+//! planned transform therefore multiplies every butterfly by the same
+//! twiddle bits as [`naive_fft_in_place`], the retained inline-recurrence
+//! loop, and its output is bit-identical to it. The same holds for
+//! [`FftPlan::forward_columns`], which transforms every column of a
+//! row-major matrix: each column sees exactly the operations of a gather,
+//! [`fft_in_place`] and a scatter. [`fft_in_place`] and [`ifft_in_place`]
+//! run through a per-thread cache of plans; hot loops build their own plan
+//! once and reuse it.
 
 use crate::complex::Complex;
+use std::cell::RefCell;
 use std::f64::consts::PI;
 
 /// Returns `true` if `n` is a power of two (and non-zero).
@@ -26,26 +37,189 @@ pub fn next_power_of_two(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 
-/// In-place forward FFT.
+/// Precomputed twiddle factors for radix-2 FFTs of one power-of-two
+/// length, in both directions.
+///
+/// ```
+/// use gp_dsp::fft::FftPlan;
+/// use gp_dsp::Complex;
+///
+/// let plan = FftPlan::new(4);
+/// let mut data = vec![Complex::ONE; 4];
+/// plan.forward(&mut data);
+/// assert_eq!(data[0], Complex::new(4.0, 0.0));
+/// plan.inverse(&mut data);
+/// assert_eq!(data[1], Complex::ONE);
+/// ```
+#[derive(Debug, Clone)]
+pub struct FftPlan {
+    len: usize,
+    /// Stage by stage (half-lengths 1, 2, 4, ...), the `half` twiddles of
+    /// each stage: `len - 1` entries in all.
+    forward: Vec<Complex>,
+    inverse: Vec<Complex>,
+}
+
+impl FftPlan {
+    /// Builds the plan for transforms of length `len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is not a power of two.
+    pub fn new(len: usize) -> Self {
+        assert!(
+            is_power_of_two(len),
+            "FFT length must be a power of two, got {len}"
+        );
+        FftPlan {
+            len,
+            forward: twiddles(len, -1.0),
+            inverse: twiddles(len, 1.0),
+        }
+    }
+
+    /// In-place forward FFT of `data`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` is not the plan's length.
+    pub fn forward(&self, data: &mut [Complex]) {
+        self.check_len(data.len(), 1);
+        butterflies(data, 1, &self.forward);
+    }
+
+    /// In-place inverse FFT of `data` (includes the `1/N` normalisation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` is not the plan's length.
+    pub fn inverse(&self, data: &mut [Complex]) {
+        self.check_len(data.len(), 1);
+        butterflies(data, 1, &self.inverse);
+        let n = data.len() as f64;
+        for z in data.iter_mut() {
+            *z = *z / n;
+        }
+    }
+
+    /// In-place forward FFT of every column of the row-major
+    /// `len × cols` matrix `data`, run a whole row at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` is zero or `data.len()` is not `len · cols`.
+    pub fn forward_columns(&self, data: &mut [Complex], cols: usize) {
+        assert!(cols > 0, "forward_columns needs at least one column");
+        self.check_len(data.len(), cols);
+        butterflies(data, cols, &self.forward);
+    }
+
+    fn check_len(&self, got: usize, cols: usize) {
+        assert!(
+            self.len.checked_mul(cols) == Some(got),
+            "FFT plan of length {} cannot transform {got} values in {cols} column(s)",
+            self.len
+        );
+    }
+}
+
+/// The twiddles of every stage, by the recurrence `w = 1; w *= cis(θ)`.
+fn twiddles(len: usize, sign: f64) -> Vec<Complex> {
+    let mut table = Vec::with_capacity(len.saturating_sub(1));
+    let mut half = 1;
+    while half < len {
+        let wlen = Complex::cis(sign * 2.0 * PI / (2 * half) as f64);
+        let mut w = Complex::ONE;
+        for _ in 0..half {
+            table.push(w);
+            w *= wlen;
+        }
+        half <<= 1;
+    }
+    table
+}
+
+/// The radix-2 transform of the `n = data.len() / width` rows of a
+/// row-major matrix, as if each of its `width` columns were transformed on
+/// its own: bit-reverse the rows, then per stage `lo ± hi·w` over whole
+/// rows. `width == 1` is the plain vector transform.
+#[inline(always)]
+fn butterflies(data: &mut [Complex], width: usize, twiddles: &[Complex]) {
+    let n = data.len() / width;
+    if n <= 1 {
+        return;
+    }
+
+    // Bit-reversal permutation of the rows.
+    let bits = n.trailing_zeros();
+    for i in 0..n {
+        let j = i.reverse_bits() >> (usize::BITS - bits);
+        if j > i {
+            let (head, tail) = data.split_at_mut(j * width);
+            head[i * width..(i + 1) * width].swap_with_slice(&mut tail[..width]);
+        }
+    }
+
+    // Butterflies.
+    let mut half = 1;
+    while half < n {
+        let stage = &twiddles[half - 1..2 * half - 1];
+        for block in data.chunks_exact_mut(2 * half * width) {
+            let (lo, hi) = block.split_at_mut(half * width);
+            let rows = lo.chunks_exact_mut(width).zip(hi.chunks_exact_mut(width));
+            for ((lo, hi), &w) in rows.zip(stage) {
+                for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+                    let u = *a;
+                    let v = *b * w;
+                    *a = u + v;
+                    *b = u - v;
+                }
+            }
+        }
+        half <<= 1;
+    }
+}
+
+thread_local! {
+    /// This thread's plans, indexed by log2 of the length.
+    static PLANS: RefCell<Vec<FftPlan>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` with this thread's plan for `len`, building the plans of
+/// every shorter power of two the first time a length is asked for.
+fn with_plan<T>(len: usize, f: impl FnOnce(&FftPlan) -> T) -> T {
+    assert!(
+        is_power_of_two(len),
+        "FFT length must be a power of two, got {len}"
+    );
+    let log2 = len.trailing_zeros() as usize;
+    PLANS.with(|plans| {
+        let mut plans = plans.borrow_mut();
+        while plans.len() <= log2 {
+            let next = FftPlan::new(1 << plans.len());
+            plans.push(next);
+        }
+        f(&plans[log2])
+    })
+}
+
+/// In-place forward FFT, through this thread's cached [`FftPlan`].
 ///
 /// # Panics
 ///
 /// Panics if `data.len()` is not a power of two.
 pub fn fft_in_place(data: &mut [Complex]) {
-    transform(data, false);
+    with_plan(data.len(), |plan| plan.forward(data));
 }
 
-/// In-place inverse FFT (includes the `1/N` normalisation).
+/// In-place inverse FFT (includes the `1/N` normalisation), through this
+/// thread's cached [`FftPlan`].
 ///
 /// # Panics
 ///
 /// Panics if `data.len()` is not a power of two.
 pub fn ifft_in_place(data: &mut [Complex]) {
-    transform(data, true);
-    let n = data.len() as f64;
-    for z in data.iter_mut() {
-        *z = *z / n;
-    }
+    with_plan(data.len(), |plan| plan.inverse(data));
 }
 
 /// Out-of-place forward FFT; the input is zero-padded to the next power of
@@ -99,7 +273,29 @@ pub fn shifted_bin_to_signed(bin: usize, n: usize) -> isize {
     bin as isize - (n / 2) as isize
 }
 
-fn transform(data: &mut [Complex], inverse: bool) {
+// ---------------------------------------------------------------------
+// Naive oracle — the original transform with the twiddle recurrence run
+// inline, retained as the bit-exactness oracle for `FftPlan`
+// (`tests/kernel_parity.rs`). It is not called on any production path.
+// ---------------------------------------------------------------------
+
+/// The original in-place forward FFT, kept verbatim.
+#[doc(hidden)]
+pub fn naive_fft_in_place(data: &mut [Complex]) {
+    naive_transform(data, false);
+}
+
+/// The original in-place inverse FFT, kept verbatim.
+#[doc(hidden)]
+pub fn naive_ifft_in_place(data: &mut [Complex]) {
+    naive_transform(data, true);
+    let n = data.len() as f64;
+    for z in data.iter_mut() {
+        *z = *z / n;
+    }
+}
+
+fn naive_transform(data: &mut [Complex], inverse: bool) {
     let n = data.len();
     assert!(
         is_power_of_two(n),

@@ -5,14 +5,18 @@
 //!
 //! * [`Complex`] — a minimal complex-number type (`f64` parts),
 //! * [`fft`] — an iterative radix-2 decimation-in-time FFT with inverse and
-//!   shift helpers,
+//!   shift helpers, and [`fft::FftPlan`], its precomputed twiddles with a
+//!   column transform,
 //! * [`window`] — Hann / Hamming / Blackman tapers,
 //! * [`cfar`] — cell-averaging constant false-alarm rate detectors in one
 //!   and two dimensions.
 //!
-//! The implementations favour clarity and determinism over raw speed; all
-//! routines are allocation-explicit and free of global state so they can be
-//! benchmarked in isolation (see the `gp-bench` crate).
+//! The implementations are deterministic, allocation-explicit and free of
+//! shared state so they can be benchmarked in isolation (see the `gp-bench`
+//! crate); the only memo is the per-thread plan cache behind
+//! [`fft::fft_in_place`]. The hot kernels (planned FFTs, 2-D CFAR) stay
+//! bit-identical to retained naive loops (`naive_*`), which only tests
+//! call.
 //!
 //! # Example
 //!

@@ -150,6 +150,13 @@ impl RadarConfig {
                 self.chirps_per_frame
             ));
         }
+        if self.chirps_per_frame < 2 {
+            return Err(format!(
+                "chirps_per_frame must be at least 2 (the Doppler axis is centred and \
+                 clutter removal subtracts the slow-time mean), got {}",
+                self.chirps_per_frame
+            ));
+        }
         if self.azimuth_antennas == 0 || self.elevation_antennas == 0 {
             return Err("antenna counts must be non-zero".into());
         }
@@ -252,6 +259,21 @@ mod tests {
             ..RadarConfig::default()
         };
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_single_chirp_frames() {
+        let one_chirp = RadarConfig {
+            chirps_per_frame: 1,
+            ..RadarConfig::default()
+        };
+        let err = one_chirp.validate().unwrap_err();
+        assert!(err.contains("chirps_per_frame must be at least 2"), "{err}");
+        let two_chirps = RadarConfig {
+            chirps_per_frame: 2,
+            ..RadarConfig::default()
+        };
+        assert!(two_chirps.validate().is_ok());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::config::RadarConfig;
 use crate::signal::DataCube;
 use gp_dsp::cfar::{cfar_2d, CfarConfig};
-use gp_dsp::fft::{fft_in_place, fft_shift, shifted_bin_to_signed};
+use gp_dsp::fft::{fft_shift, naive_fft_in_place, shifted_bin_to_signed, FftPlan};
 use gp_dsp::window::{apply_window, WindowKind};
 use gp_dsp::Complex;
 use gp_pointcloud::{Point, PointCloud, Vec3};
@@ -36,55 +36,59 @@ impl RangeDopplerMap {
 /// clutter removal (per-range-bin mean subtraction across chirps, the
 /// moving-target-indication step that discards zero-Doppler returns —
 /// paper §IV-B "static clutter removal").
+///
+/// Each antenna's `chirps × samples` block is processed in one flat
+/// buffer: range FFTs of the rows in place, the clutter mean summed row by
+/// row in chirp order, then the Doppler FFT of every column at once. The
+/// maps are bit-identical to [`naive_range_doppler_maps`], the retained
+/// column-at-a-time loop.
+///
+/// # Panics
+///
+/// Panics if the cube's chirp count is odd (the Doppler axis cannot be
+/// centred) or either FFT length is not a power of two.
 pub fn range_doppler_maps(cube: &DataCube, _config: &RadarConfig) -> Vec<RangeDopplerMap> {
     let (na, nc, ns) = cube.shape();
+    assert!(nc % 2 == 0, "fft_shift requires an even length, got {nc}");
     let range_window = WindowKind::Hann.coefficients(ns);
     let doppler_window = WindowKind::Hann.coefficients(nc);
-    let mut maps = Vec::with_capacity(na);
+    let range_plan = FftPlan::new(ns);
+    let doppler_plan = FftPlan::new(nc);
+    let mut mean = vec![Complex::ZERO; ns];
 
-    for ant in 0..na {
-        // Range FFT per chirp.
-        let mut range_spectra: Vec<Vec<Complex>> = (0..nc)
-            .map(|chirp| {
-                let mut row = cube.chirp(ant, chirp).to_vec();
-                apply_window(&mut row, &range_window);
-                fft_in_place(&mut row);
-                row
-            })
-            .collect();
-
-        // Static clutter removal: subtract the slow-time mean per bin.
-        for bin in 0..ns {
-            let mean = range_spectra
-                .iter()
-                .map(|row| row[bin])
-                .fold(Complex::ZERO, |a, b| a + b)
-                / nc as f64;
-            for row in range_spectra.iter_mut() {
-                row[bin] -= mean;
+    (0..na)
+        .map(|ant| {
+            let mut cells = cube.antenna(ant).to_vec();
+            // Range FFT per chirp, summing each bin over the chirps.
+            mean.fill(Complex::ZERO);
+            for row in cells.chunks_exact_mut(ns) {
+                apply_window(row, &range_window);
+                range_plan.forward(row);
+                for (m, &z) in mean.iter_mut().zip(row.iter()) {
+                    *m += z;
+                }
             }
-        }
-
-        // Doppler FFT per range bin, then shift zero velocity to centre.
-        let mut cells = vec![Complex::ZERO; nc * ns];
-        let mut slow = vec![Complex::ZERO; nc];
-        for bin in 0..ns {
-            for (chirp, z) in slow.iter_mut().enumerate() {
-                *z = range_spectra[chirp][bin].scale(doppler_window[chirp]);
+            for m in mean.iter_mut() {
+                *m = *m / nc as f64;
             }
-            fft_in_place(&mut slow);
-            fft_shift(&mut slow);
-            for (d, z) in slow.iter().enumerate() {
-                cells[d * ns + bin] = *z;
+            // Static clutter removal, then the Doppler window.
+            for (row, &w) in cells.chunks_exact_mut(ns).zip(&doppler_window) {
+                for (z, &m) in row.iter_mut().zip(&mean) {
+                    *z -= m;
+                    *z = z.scale(w);
+                }
             }
-        }
-        maps.push(RangeDopplerMap {
-            cells,
-            doppler_bins: nc,
-            range_bins: ns,
-        });
-    }
-    maps
+            // Doppler FFT per range bin, then shift zero velocity to centre.
+            doppler_plan.forward_columns(&mut cells, ns);
+            let (negative, positive) = cells.split_at_mut(nc / 2 * ns);
+            negative.swap_with_slice(positive);
+            RangeDopplerMap {
+                cells,
+                doppler_bins: nc,
+                range_bins: ns,
+            }
+        })
+        .collect()
 }
 
 /// Sums power across antennas (non-coherent integration).
@@ -182,10 +186,20 @@ pub fn process_cube(cube: &DataCube, config: &RadarConfig) -> PointCloud {
     let maps = range_doppler_maps(cube, config);
     let power = power_map(&maps);
     let detections = detect(&power, config);
+    cloud_from_detections(&maps, &detections, config)
+}
+
+/// The last stage of [`process_cube`]: one world-frame point per
+/// detection, placed by its range bin and estimated angles.
+pub fn cloud_from_detections(
+    maps: &[RangeDopplerMap],
+    detections: &[Detection],
+    config: &RadarConfig,
+) -> PointCloud {
     let mut cloud = PointCloud::with_capacity(detections.len());
     let vres = config.velocity_resolution();
-    for det in &detections {
-        let (u, w) = estimate_angles(&maps, det, config);
+    for det in detections {
+        let (u, w) = estimate_angles(maps, det, config);
         let range = det.range_bin as f64 * config.range_resolution();
         let signed_doppler = shifted_bin_to_signed(det.doppler_bin, config.chirps_per_frame) as f64;
         let doppler = signed_doppler * vres;
@@ -203,6 +217,66 @@ pub fn process_cube(cube: &DataCube, config: &RadarConfig) -> PointCloud {
         cloud.push(Point::new(position, doppler, snr));
     }
     cloud
+}
+
+// ---------------------------------------------------------------------
+// Naive oracle — the original range–Doppler loop, retained as the
+// bit-exactness oracle for `range_doppler_maps`
+// (`tests/processing_parity.rs`). It is not called on any production path.
+// ---------------------------------------------------------------------
+
+/// The original per-antenna loop, kept verbatim: one `Vec` per chirp, a
+/// per-bin clutter mean, and a gathered Doppler FFT per range bin.
+#[doc(hidden)]
+pub fn naive_range_doppler_maps(cube: &DataCube, _config: &RadarConfig) -> Vec<RangeDopplerMap> {
+    let (na, nc, ns) = cube.shape();
+    let range_window = WindowKind::Hann.coefficients(ns);
+    let doppler_window = WindowKind::Hann.coefficients(nc);
+    let mut maps = Vec::with_capacity(na);
+
+    for ant in 0..na {
+        // Range FFT per chirp.
+        let mut range_spectra: Vec<Vec<Complex>> = (0..nc)
+            .map(|chirp| {
+                let mut row = cube.chirp(ant, chirp).to_vec();
+                apply_window(&mut row, &range_window);
+                naive_fft_in_place(&mut row);
+                row
+            })
+            .collect();
+
+        // Static clutter removal: subtract the slow-time mean per bin.
+        for bin in 0..ns {
+            let mean = range_spectra
+                .iter()
+                .map(|row| row[bin])
+                .fold(Complex::ZERO, |a, b| a + b)
+                / nc as f64;
+            for row in range_spectra.iter_mut() {
+                row[bin] -= mean;
+            }
+        }
+
+        // Doppler FFT per range bin, then shift zero velocity to centre.
+        let mut cells = vec![Complex::ZERO; nc * ns];
+        let mut slow = vec![Complex::ZERO; nc];
+        for bin in 0..ns {
+            for (chirp, z) in slow.iter_mut().enumerate() {
+                *z = range_spectra[chirp][bin].scale(doppler_window[chirp]);
+            }
+            naive_fft_in_place(&mut slow);
+            fft_shift(&mut slow);
+            for (d, z) in slow.iter().enumerate() {
+                cells[d * ns + bin] = *z;
+            }
+        }
+        maps.push(RangeDopplerMap {
+            cells,
+            doppler_bins: nc,
+            range_bins: ns,
+        });
+    }
+    maps
 }
 
 #[cfg(test)]

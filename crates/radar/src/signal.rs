@@ -52,6 +52,12 @@ impl DataCube {
         &self.data[base..base + self.samples]
     }
 
+    /// Borrow one antenna's `chirps × samples` block, chirp-major.
+    pub fn antenna(&self, ant: usize) -> &[Complex] {
+        let len = self.chirps * self.samples;
+        &self.data[ant * len..(ant + 1) * len]
+    }
+
     fn chirp_mut(&mut self, ant: usize, chirp: usize) -> &mut [Complex] {
         let base = (ant * self.chirps + chirp) * self.samples;
         &mut self.data[base..base + self.samples]

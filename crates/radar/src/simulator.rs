@@ -10,9 +10,10 @@
 //!   resolution with SNR-dependent angular error, static returns are
 //!   dropped (clutter removal), and multipath ghost points are injected.
 //!   It is statistically matched and thousands of times faster: on a
-//!   2-vCPU x86-64 VM, an office-scene frame at the default configuration
-//!   takes about 1.2 µs against 7.8 ms for the signal chain (about 400×
-//!   at `RadarConfig::test_small`). The agreement tests live in
+//!   2-vCPU x86-64 VM, averaged over the 42 snapshots of an office-scene
+//!   capture at the default configuration, a frame takes 1.1–1.6 µs
+//!   against 5.8–7.7 ms for the signal chain, about 5,000× (about 300× at
+//!   `RadarConfig::test_small`). The agreement tests live in
 //!   `tests/backend_agreement.rs`.
 
 use crate::config::RadarConfig;
@@ -341,6 +342,16 @@ mod tests {
             ..RadarConfig::default()
         };
         RadarSimulator::new(bad, Backend::Geometric, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid radar config")]
+    fn single_chirp_config_panics_at_construction() {
+        let one_chirp = RadarConfig {
+            chirps_per_frame: 1,
+            ..RadarConfig::default()
+        };
+        RadarSimulator::new(one_chirp, Backend::SignalChain, 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::config::RdConfig;
 use crate::frame::RdFrame;
-use gp_dsp::fft::{fft_in_place, fft_shift};
+use gp_dsp::fft::FftPlan;
 use gp_dsp::window::apply_window;
 use gp_dsp::Complex;
 use gp_kinematics::scatter::Scatterer;
@@ -73,6 +73,12 @@ impl RdSynthesizer {
         timestamp: f64,
         rng: &mut R,
     ) -> RdFrame {
+        self.spectrum(self.beat_cube(scatterers, rng), timestamp)
+    }
+
+    /// The synthesis half of [`Self::frame_from_scatterers`]: the
+    /// chirp-major beat signal with thermal noise, after MTI when enabled.
+    fn beat_cube<R: Rng>(&self, scatterers: &[Scatterer], rng: &mut R) -> Vec<Complex> {
         let nr = self.config.range_bins;
         let nd = self.config.doppler_bins;
         let radar = Vec3::new(0.0, 0.0, self.config.mount_height);
@@ -125,28 +131,36 @@ impl RdSynthesizer {
             }
         }
 
-        // Range FFT per chirp (windowed).
+        cube
+    }
+
+    /// The processing half of [`Self::frame_from_scatterers`]: windowed
+    /// range FFT per chirp, then the windowed Doppler FFT of every range
+    /// bin (all columns at once), shifted so zero velocity sits on the
+    /// centre row, power out. `cube` is the chirp-major beat signal.
+    fn spectrum(&self, mut cube: Vec<Complex>, timestamp: f64) -> RdFrame {
+        let nr = self.config.range_bins;
+        let nd = self.config.doppler_bins;
         let range_window = self.config.window.coefficients(nr);
-        for c in 0..nd {
-            let row = &mut cube[c * nr..(c + 1) * nr];
+        let range_plan = FftPlan::new(nr);
+        for row in cube.chunks_exact_mut(nr) {
             apply_window(row, &range_window);
-            fft_in_place(row);
+            range_plan.forward(row);
         }
 
-        // Doppler FFT per range bin (windowed, shifted so zero velocity
-        // sits on the centre row), power out.
         let doppler_window = self.config.window.coefficients(nd);
-        let mut frame = RdFrame::zeros(&self.config, timestamp);
-        let mut column = vec![Complex::ZERO; nd];
-        for n in 0..nr {
-            for c in 0..nd {
-                column[c] = cube[c * nr + n];
+        for (row, &w) in cube.chunks_exact_mut(nr).zip(&doppler_window) {
+            for z in row.iter_mut() {
+                *z = z.scale(w);
             }
-            apply_window(&mut column, &doppler_window);
-            fft_in_place(&mut column);
-            fft_shift(&mut column);
-            for (d, z) in column.iter().enumerate() {
-                frame.power[d * nr + n] = z.norm_sqr();
+        }
+        FftPlan::new(nd).forward_columns(&mut cube, nr);
+        // The fft-shift: map row `d` is spectrum row `d + nd/2` (mod nd).
+        let mut frame = RdFrame::zeros(&self.config, timestamp);
+        for (d, out) in frame.power.chunks_exact_mut(nr).enumerate() {
+            let row = &cube[(d + nd / 2) % nd * nr..][..nr];
+            for (p, z) in out.iter_mut().zip(row) {
+                *p = z.norm_sqr();
             }
         }
         frame
@@ -156,6 +170,8 @@ impl RdSynthesizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gp_dsp::fft::{fft_shift, naive_fft_in_place};
+    use gp_dsp::window::WindowKind;
     use gp_kinematics::gestures::{GestureId, GestureSet};
     use gp_kinematics::UserProfile;
 
@@ -252,5 +268,63 @@ mod tests {
             active > 2.0 * idle,
             "gesture peak {active} vs idle peak {idle}"
         );
+    }
+
+    /// The processing loop `spectrum` replaced, kept as its oracle: a
+    /// gathered, windowed and shifted Doppler FFT per range bin.
+    fn naive_spectrum(config: &RdConfig, mut cube: Vec<Complex>, timestamp: f64) -> RdFrame {
+        let nr = config.range_bins;
+        let nd = config.doppler_bins;
+        let range_window = config.window.coefficients(nr);
+        for c in 0..nd {
+            let row = &mut cube[c * nr..(c + 1) * nr];
+            apply_window(row, &range_window);
+            naive_fft_in_place(row);
+        }
+        let doppler_window = config.window.coefficients(nd);
+        let mut frame = RdFrame::zeros(config, timestamp);
+        let mut column = vec![Complex::ZERO; nd];
+        for n in 0..nr {
+            for c in 0..nd {
+                column[c] = cube[c * nr + n];
+            }
+            apply_window(&mut column, &doppler_window);
+            naive_fft_in_place(&mut column);
+            fft_shift(&mut column);
+            for (d, z) in column.iter().enumerate() {
+                frame.power[d * nr + n] = z.norm_sqr();
+            }
+        }
+        frame
+    }
+
+    #[test]
+    fn spectrum_is_bit_identical_to_the_gathered_column_loop() {
+        let profile = UserProfile::generate(0, 42);
+        let mut rng = StdRng::seed_from_u64(4);
+        let perf = Performance::new(&profile, GestureSet::Asl15, GestureId(12), 1.2, &mut rng);
+        let configs = [
+            RdConfig::default(),
+            quiet_config(),
+            RdConfig {
+                window: WindowKind::Blackman,
+                mti: false,
+                doppler_bins: 2,
+                range_bins: 32,
+                ..RdConfig::default()
+            },
+        ];
+        for config in configs {
+            let synth = RdSynthesizer::new(config.clone(), 7);
+            let step = perf.total_duration() / 12.0;
+            for i in 0..12 {
+                let t = i as f64 * step;
+                let cube = synth.beat_cube(&perf.scatterers_at(t), &mut rng);
+                let fast = synth.spectrum(cube.clone(), t);
+                let naive = naive_spectrum(&config, cube, t);
+                let bits = |f: &RdFrame| f.power.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&naive), "{config:?} at t = {t}");
+            }
+        }
     }
 }
